@@ -152,26 +152,31 @@ fn digest_lines(lines: &[String]) -> u64 {
     h
 }
 
-/// The F100 graph's execution waves (as the AVS leveling pass derives
-/// them): bypass duct ∥ combustor, the two shafts together, then the
-/// tailpipe and nozzle each alone on the critical path.
+/// The recovery policy every pooled session uses: idempotent component
+/// evaluations and a retry budget generous enough that a crash-window
+/// reboot lands inside it.
+fn session_policy() -> CallPolicy {
+    CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0)
+}
+
+/// The F100 graph's execution waves, exactly as
+/// [`WavePlan::derive`] groups the AVS network's antichains: bypass duct
+/// ∥ combustor, then the tailpipe duct beside the two shafts (no path
+/// joins them), then the nozzle alone on the critical path.
 pub fn f100_wave_plan() -> WavePlan {
     WavePlan {
         waves: vec![
             vec!["bypass duct".into(), "combustor".into()],
-            vec!["low speed shaft".into(), "high speed shaft".into()],
-            vec!["tailpipe duct".into()],
+            vec!["tailpipe duct".into(), "low speed shaft".into(), "high speed shaft".into()],
             vec!["nozzle".into()],
         ],
     }
 }
 
-fn world(link_batching: bool) -> Result<Schooner, String> {
-    let config = if link_batching {
-        SchoonerConfig::builder().link_batching(LinkConfig::default()).build()
-    } else {
-        SchoonerConfig::default()
-    };
+/// A standard world under `config` with the four adapted-module
+/// executables installed on every host: the world every Table-2 run
+/// starts from.
+pub fn table2_world(config: SchoonerConfig) -> Result<Schooner, String> {
     let sch = Schooner::standard_with(config).map_err(|e| e.to_string())?;
     let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
     let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
@@ -186,13 +191,20 @@ fn world(link_batching: bool) -> Result<Schooner, String> {
     Ok(sch)
 }
 
-/// The Table-2 placement bound to a fresh executive, with the recovery
-/// policy every pooled session uses (idempotent component evaluations,
-/// generous retry budget so a crash-window reboot lands inside it).
-fn table2_engine(sch: &Schooner, scheduling: Scheduling) -> Result<ExecutiveEngine, String> {
-    let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
+/// The Table-2 placement bound to a fresh executive: TESS on the UA
+/// Sparc 10, the combustor on the UA SGI 4D/340, both ducts on the LeRC
+/// Cray Y-MP, the nozzle on the LeRC SGI 4D/420 and both shafts on the
+/// LeRC IBM RS6000. Every remote call runs under `policy`; the engine
+/// places a checkpoint barrier every `checkpoint_interval` solver steps
+/// (0: none), orders its calls by `scheduling`, and carries the
+/// [`f100_wave_plan`].
+pub fn table2_engine(
+    sch: &Schooner,
+    policy: &CallPolicy,
+    checkpoint_interval: usize,
+    scheduling: Scheduling,
+) -> Result<ExecutiveEngine, String> {
+    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().map_err(|e| e.to_string())?)?;
     exec.scheduling = scheduling;
     exec.wave_plan = f100_wave_plan();
     for (slot, path, machine) in [
@@ -204,18 +216,24 @@ fn table2_engine(sch: &Schooner, scheduling: Scheduling) -> Result<ExecutiveEngi
         ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
     ] {
         let line = sch.open_line(slot, "ua-sparc10").map_err(|e| e.to_string())?;
-        let remote = RemoteExec::start(line, path, machine)
-            .map_err(|e| e.to_string())?
-            .with_policy(policy.clone());
-        exec.set_remote(slot, remote).map_err(|e| e.to_string())?;
+        let remote = RemoteExec::start(line, path, machine)?.with_policy(policy.clone());
+        exec.set_remote(slot, remote)?;
     }
-    exec.checkpoint_interval = 4;
+    exec.checkpoint_interval = checkpoint_interval;
     Ok(exec)
 }
 
-/// The session's virtual clock: the bypass-duct line's `now()` (every
-/// engine workload places that slot remotely).
-fn vnow(exec: &mut ExecutiveEngine) -> Result<f64, String> {
+/// The Table-2 throttle move over a `t_end`-second transient: 92% of
+/// design fuel flow, ramping to 100% between 0.1 and 0.4 of the way.
+pub fn table2_fuel(engine: &Turbofan, t_end: f64) -> Result<Schedule, String> {
+    let wf = engine.design.wf;
+    Schedule::new(vec![(0.0, 0.92 * wf), (0.1 * t_end, 0.92 * wf), (0.4 * t_end, wf)])
+        .map_err(|e| e.to_string())
+}
+
+/// The Table-2 engine's virtual clock: the bypass-duct line's `now()`
+/// (every Table-2 run places that slot remotely).
+pub fn vnow(exec: &mut ExecutiveEngine) -> Result<f64, String> {
     match exec.exec_mut("bypass duct") {
         Some(Exec::Remote(r)) => Ok(r.line_mut().now()),
         _ => Err("bypass duct is not remote".into()),
@@ -239,7 +257,12 @@ fn hex_line(values: &[f64]) -> String {
 /// sessions.
 pub fn run_session(req: &SessionRequest) -> Result<SessionReport, String> {
     let mut rng = SplitMix64::new(req.seed);
-    let sch = world(req.knobs.link_batching)?;
+    let config = if req.knobs.link_batching {
+        SchoonerConfig::builder().link_batching(LinkConfig::default()).build()
+    } else {
+        SchoonerConfig::default()
+    };
+    let sch = table2_world(config)?;
     if let Some(crash) = &req.knobs.crash {
         sch.ctx().net.set_fault_plan(Some(
             FaultPlan::new(req.seed)
@@ -278,7 +301,7 @@ fn run_workload(
 ) -> Result<(Vec<String>, f64, f64), String> {
     match &req.workload {
         Workload::Transient { t_end, dt } => {
-            let mut exec = table2_engine(sch, req.knobs.scheduling)?;
+            let mut exec = table2_engine(sch, &session_policy(), 4, req.knobs.scheduling)?;
             let start = vnow(&mut exec)?;
             // A seed-specific throttle move: idle fraction, push level,
             // and ramp shape all drawn from the session's stream.
@@ -305,7 +328,7 @@ fn run_workload(
             Ok((transcript, start, end))
         }
         Workload::SteadyState { wf_frac } => {
-            let mut exec = table2_engine(sch, req.knobs.scheduling)?;
+            let mut exec = table2_engine(sch, &session_policy(), 4, req.knobs.scheduling)?;
             let start = vnow(&mut exec)?;
             let jitter = rng.range(0.98, 1.02);
             let wf = (wf_frac * jitter).clamp(0.85, 1.05) * exec.engine.design.wf;

@@ -10,62 +10,13 @@
 //! same counters on every run.
 
 use netsim::FaultPlan;
-use npss::engine_exec::{Exec, ExecutiveEngine};
-use npss::procs;
-use npss::RemoteExec;
-use schooner::{CallPolicy, Schooner};
-use tess::engine::Turbofan;
-use tess::schedules::Schedule;
+use npss::engine_exec::Scheduling;
+use npss::service::{table2_engine, table2_fuel, table2_world, vnow};
+use schooner::{CallPolicy, SchoonerConfig};
 use tess::transient::TransientMethod;
 
 const T_END: f64 = 0.4;
 const DT: f64 = 0.02;
-
-fn world() -> Schooner {
-    let sch = Schooner::standard().unwrap();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).unwrap();
-    }
-    sch
-}
-
-fn table2_engine(sch: &Schooner, policy: &CallPolicy) -> ExecutiveEngine {
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        let remote = RemoteExec::start(line, path, machine).unwrap().with_policy(policy.clone());
-        exec.set_remote(slot, remote).unwrap();
-    }
-    exec.checkpoint_interval = 4;
-    exec
-}
-
-fn fuel_schedule(engine: &Turbofan) -> Schedule {
-    let wf_ref = engine.design.wf;
-    Schedule::new(vec![(0.0, 0.92 * wf_ref), (0.1 * T_END, 0.92 * wf_ref), (0.4 * T_END, wf_ref)])
-        .unwrap()
-}
-
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").expect("known slot") {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
-}
 
 /// One complete seeded faulty run in a fresh world, returning the
 /// metrics snapshot taken after shutdown. The Cray crashes mid-run and
@@ -74,9 +25,9 @@ fn vnow(exec: &mut ExecutiveEngine) -> f64 {
 /// transient — the full recovery surface.
 fn faulty_run_snapshot(crash_window: Option<(f64, f64)>) -> (String, f64, f64) {
     let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
-    let sch = world();
-    let mut exec = table2_engine(&sch, &policy);
-    let t_start = vnow(&mut exec);
+    let sch = table2_world(SchoonerConfig::default()).unwrap();
+    let mut exec = table2_engine(&sch, &policy, 4, Scheduling::Sequential).unwrap();
+    let t_start = vnow(&mut exec).unwrap();
     if let Some((t_crash, t_restart)) = crash_window {
         sch.ctx().net.set_fault_plan(Some(
             FaultPlan::new(0xF1D0)
@@ -84,9 +35,9 @@ fn faulty_run_snapshot(crash_window: Option<(f64, f64)>) -> (String, f64, f64) {
                 .host_restart("lerc-cray-ymp", t_restart),
         ));
     }
-    let fuel = fuel_schedule(&exec.engine);
+    let fuel = table2_fuel(&exec.engine, T_END).unwrap();
     exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END).unwrap();
-    let t_stop = vnow(&mut exec);
+    let t_stop = vnow(&mut exec).unwrap();
     exec.shutdown();
     sch.ctx().net.set_fault_plan(None);
     let snapshot = sch.ctx().obs.metrics().snapshot_json();

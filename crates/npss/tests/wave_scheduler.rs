@@ -6,93 +6,19 @@
 //! checkpoint/rollback path.
 
 use netsim::FaultPlan;
-use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling, WavePlan};
-use npss::procs;
-use npss::{F100Network, RemoteExec, RemotePlacement};
+use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
+use npss::service::{f100_wave_plan, table2_engine, table2_fuel, table2_world, vnow};
+use npss::{F100Network, RemotePlacement};
 use schooner::{CallPolicy, Schooner, SchoonerConfig};
 use std::sync::Arc;
-use tess::engine::Turbofan;
-use tess::schedules::Schedule;
 use tess::transient::{TransientMethod, TransientResult};
 
 const T_END: f64 = 0.4;
 const DT: f64 = 0.02;
 
-fn world() -> Schooner {
-    world_with(SchoonerConfig::default())
-}
-
-fn world_with(config: SchoonerConfig) -> Schooner {
-    let sch = Schooner::standard_with(config).unwrap();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).unwrap();
-    }
-    sch
-}
-
-/// The F100 graph's execution waves over the adapted slots, as the AVS
-/// leveling pass derives them: bypass duct ∥ combustor, the two shafts
-/// together, tailpipe and nozzle on the critical path.
-fn f100_waves() -> WavePlan {
-    WavePlan {
-        waves: vec![
-            vec!["bypass duct".into(), "combustor".into()],
-            vec!["low speed shaft".into(), "high speed shaft".into()],
-            vec!["tailpipe duct".into()],
-            vec!["nozzle".into()],
-        ],
-    }
-}
-
-/// The Table-2 placement with a chosen scheduling mode.
-fn table2_engine(
-    sch: &Schooner,
-    policy: &CallPolicy,
-    interval: usize,
-    scheduling: Scheduling,
-) -> ExecutiveEngine {
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    exec.scheduling = scheduling;
-    exec.wave_plan = f100_waves();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        let remote = RemoteExec::start(line, path, machine).unwrap().with_policy(policy.clone());
-        exec.set_remote(slot, remote).unwrap();
-    }
-    exec.checkpoint_interval = interval;
-    exec
-}
-
-fn fuel_schedule(engine: &Turbofan) -> Schedule {
-    let wf_ref = engine.design.wf;
-    Schedule::new(vec![(0.0, 0.92 * wf_ref), (0.1 * T_END, 0.92 * wf_ref), (0.4 * T_END, wf_ref)])
-        .unwrap()
-}
-
 fn run(exec: &mut ExecutiveEngine) -> TransientResult {
-    let fuel = fuel_schedule(&exec.engine);
+    let fuel = table2_fuel(&exec.engine, T_END).unwrap();
     exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END).unwrap()
-}
-
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").expect("known slot") {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
 }
 
 fn assert_bit_identical(a: &TransientResult, b: &TransientResult) {
@@ -125,6 +51,7 @@ fn wave_plan_derives_antichains_from_f100_graph() {
     assert!(!plan.same_wave("bypass duct", "tailpipe duct"), "{plan:?}");
     assert!(!plan.same_wave("combustor", "nozzle"), "{plan:?}");
     assert!(!plan.same_wave("tailpipe duct", "nozzle"), "{plan:?}");
+    assert_eq!(plan, f100_wave_plan(), "the service's hard-coded plan must match the graph");
 }
 
 /// Wave-parallel and sequential scheduling agree to the bit on every
@@ -134,11 +61,11 @@ fn wave_plan_derives_antichains_from_f100_graph() {
 fn parallel_equals_sequential_bit_and_byte() {
     let policy = CallPolicy::default();
     let mode_run = |scheduling: Scheduling| -> (TransientResult, String, f64) {
-        let sch = world();
-        let mut exec = table2_engine(&sch, &policy, 5, scheduling);
-        let t0 = vnow(&mut exec);
+        let sch = table2_world(SchoonerConfig::default()).unwrap();
+        let mut exec = table2_engine(&sch, &policy, 5, scheduling).unwrap();
+        let t0 = vnow(&mut exec).unwrap();
         let result = run(&mut exec);
-        let elapsed = vnow(&mut exec) - t0;
+        let elapsed = vnow(&mut exec).unwrap() - t0;
         let snapshot = sch.ctx().obs.metrics().snapshot_json();
         exec.shutdown();
         sch.shutdown();
@@ -169,8 +96,8 @@ fn parallel_equals_sequential_bit_and_byte() {
 fn batched_wave_parallel_matches_unbatched_sequential() {
     let policy = CallPolicy::default();
     let mode_run = |config: SchoonerConfig, scheduling: Scheduling| {
-        let sch = world_with(config);
-        let mut exec = table2_engine(&sch, &policy, 5, scheduling);
+        let sch = table2_world(config).unwrap();
+        let mut exec = table2_engine(&sch, &policy, 5, scheduling).unwrap();
         let result = run(&mut exec);
         let snapshot = sch.ctx().obs.metrics().snapshot_json_excluding(&[
             "net.batch.",
@@ -225,9 +152,9 @@ fn f100_network_parallel_run_matches_sequential() {
 /// always the bypass duct's.
 #[test]
 fn two_failures_in_one_wave_report_first_by_slot_order() {
-    let sch = world();
+    let sch = table2_world(SchoonerConfig::default()).unwrap();
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.05, 2.0, 0.05);
-    let mut exec = table2_engine(&sch, &policy, 0, Scheduling::WaveParallel);
+    let mut exec = table2_engine(&sch, &policy, 0, Scheduling::WaveParallel).unwrap();
     sch.ctx().net.set_host_up("lerc-cray-ymp", false);
     sch.ctx().net.set_host_up("ua-sgi-4d340", false);
     let err = exec.setup().unwrap_err();
@@ -244,6 +171,39 @@ fn two_failures_in_one_wave_report_first_by_slot_order() {
     sch.shutdown();
 }
 
+/// The sequential sweep runs the same body one call per wave, so its
+/// failures carry the same `slot (proc): cause` text: with the Cray and
+/// the UA SGI both down, configuration stops at the bypass duct — the
+/// first slot in gas-path order — and no later slot is called at all.
+#[test]
+fn sequential_failure_names_the_first_slot_and_calls_no_later_one() {
+    let sch = table2_world(SchoonerConfig::default()).unwrap();
+    let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.05, 2.0, 0.05);
+    let mut exec = table2_engine(&sch, &policy, 0, Scheduling::Sequential).unwrap();
+    let calls = |exec: &ExecutiveEngine| -> Vec<(String, u64)> {
+        exec.report_rows().into_iter().map(|r| (r.module, r.calls)).collect()
+    };
+    let before = calls(&exec);
+    sch.ctx().net.set_host_up("lerc-cray-ymp", false);
+    sch.ctx().net.set_host_up("ua-sgi-4d340", false);
+    let err = exec.setup().unwrap_err();
+    assert!(
+        err.starts_with("bypass duct (setduct): "),
+        "expected the bypass duct's error, got: {err}"
+    );
+    for ((module, n0), (_, n1)) in before.iter().zip(calls(&exec)) {
+        if module != "bypass duct" {
+            assert_eq!(*n0, n1, "{module} was called after the bypass duct failed");
+        }
+    }
+
+    sch.ctx().net.set_host_up("lerc-cray-ymp", true);
+    sch.ctx().net.set_host_up("ua-sgi-4d340", true);
+    exec.setup().unwrap();
+    exec.shutdown();
+    sch.shutdown();
+}
+
 /// A seeded fault plan kills both hosts of the widest evaluation wave
 /// (bypass duct on the Cray, combustor on the UA SGI) in the same crash
 /// window mid-transient. The failed step rolls back to the latest
@@ -253,18 +213,18 @@ fn two_failures_in_one_wave_report_first_by_slot_order() {
 fn two_host_crash_in_one_wave_rolls_back_bit_identically() {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
     let (reference, t_start, t_stop) = {
-        let sch = world();
-        let mut exec = table2_engine(&sch, &policy, 4, Scheduling::WaveParallel);
-        let t0 = vnow(&mut exec);
+        let sch = table2_world(SchoonerConfig::default()).unwrap();
+        let mut exec = table2_engine(&sch, &policy, 4, Scheduling::WaveParallel).unwrap();
+        let t0 = vnow(&mut exec).unwrap();
         let result = run(&mut exec);
-        let t1 = vnow(&mut exec);
+        let t1 = vnow(&mut exec).unwrap();
         exec.shutdown();
         sch.shutdown();
         (result, t0, t1)
     };
 
-    let sch = world();
-    let mut exec = table2_engine(&sch, &policy, 4, Scheduling::WaveParallel);
+    let sch = table2_world(SchoonerConfig::default()).unwrap();
+    let mut exec = table2_engine(&sch, &policy, 4, Scheduling::WaveParallel).unwrap();
     exec.max_recoveries = 20;
     let t_crash = t_start + 0.55 * (t_stop - t_start);
     sch.ctx().net.set_fault_plan(Some(
@@ -291,8 +251,9 @@ fn two_host_crash_in_one_wave_rolls_back_bit_identically() {
 /// nothing is charged to an arbitrary "first" line.
 #[test]
 fn reply_bytes_are_attributed_per_line() {
-    let sch = world();
-    let mut exec = table2_engine(&sch, &CallPolicy::default(), 5, Scheduling::WaveParallel);
+    let sch = table2_world(SchoonerConfig::default()).unwrap();
+    let mut exec =
+        table2_engine(&sch, &CallPolicy::default(), 5, Scheduling::WaveParallel).unwrap();
     let _ = run(&mut exec);
     exec.checkpoint_remotes();
 

@@ -29,7 +29,6 @@ use crate::obs::{EventKind, Obs, Phase};
 use crate::policy::{CallPolicy, JitterRng};
 use crate::stub::CompiledStub;
 use crate::system::RuntimeCtx;
-use crate::trace::Trace;
 
 /// The host part of a `host:process` address.
 fn host_part(addr: &str) -> &str {
@@ -231,12 +230,6 @@ impl LineHandle {
     /// Transport statistics.
     pub fn stats(&self) -> LineStats {
         self.stats
-    }
-
-    /// The shared event trace (retries, failovers, and degradations are
-    /// recorded here alongside ordinary call events).
-    pub fn trace(&self) -> &Trace {
-        &self.ctx.trace
     }
 
     /// The shared observability sink: typed events, call spans keyed by

@@ -1,12 +1,13 @@
 //! Typed observability events.
 //!
 //! Every instrumented moment in the runtime is one [`EventKind`] variant
-//! with structured fields. The `Display` impl reproduces, byte for byte,
-//! the strings the old stringly `Trace::record` call-sites produced, so
-//! example transcripts (and the determinism CI job diffing them) are
-//! unaffected by the migration; [`EventKind::who`] reproduces the old
-//! `who` column the same way. Code that wants the *data* matches on the
-//! variant instead of parsing the text.
+//! with structured fields. The `Display` impl renders the transcript
+//! text of each event (the `what` column of [`Obs::render`]) and
+//! [`EventKind::who`] its emitter; example transcripts and the
+//! determinism CI job diffing them are built from these two. Code that
+//! wants the *data* matches on the variant instead of parsing the text.
+//!
+//! [`Obs::render`]: crate::Obs::render
 
 use std::fmt;
 
@@ -23,8 +24,8 @@ pub struct ObsEvent {
 ///
 /// Grouped by emitter: line-side RPC lifecycle, Manager bookkeeping and
 /// supervision, Server/process lifecycle, and engine-level recovery.
-/// [`EventKind::Note`] carries legacy free-form records from the
-/// [`Trace`](crate::Trace) compatibility facade.
+/// [`EventKind::Note`] carries free-form records (and keeps their place
+/// in the journal format).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     // ----- RPC lifecycle (emitted by a line) -----
@@ -274,8 +275,8 @@ pub enum EventKind {
         max: u32,
     },
 
-    // ----- Compatibility -----
-    /// A free-form record from the legacy `Trace::record` facade.
+    // ----- Free-form -----
+    /// A free-form record.
     Note {
         /// Emitting component.
         who: String,

@@ -5,16 +5,13 @@
 //!
 //! * **events** — a time-ordered log of typed [`EventKind`] records
 //!   (RPC lifecycle, supervision, engine recovery), off by default and
-//!   rendered identically to the old stringly trace;
+//!   rendered as a control-flow transcript by [`Obs::render`];
 //! * **spans** — per-call [`CallSpan`]s keyed by `(line, call id)` that
 //!   aggregate virtual-time durations per [`Phase`], feeding the
 //!   Figure-1 breakdowns and the `costs` CLI without string parsing;
 //! * **metrics** — the shared [`MetricsRegistry`] (adopted from the
 //!   world's [`Network`](netsim::Network), so transport counters land in
 //!   the same snapshot), always on, exported as deterministic JSON.
-//!
-//! The legacy [`Trace`](crate::Trace) API survives as a facade over the
-//! event log; existing call-sites and transcripts are unaffected.
 
 pub mod codec;
 mod event;
@@ -41,7 +38,7 @@ struct ObsInner {
 }
 
 /// Shared, cheaply cloneable observability sink. Event recording is
-/// disabled by default (like the old trace); spans and metrics are
+/// disabled by default; spans and metrics are
 /// always on — they are aggregates, not logs, so their cost is a few
 /// arithmetic operations per call.
 #[derive(Clone)]
@@ -115,12 +112,25 @@ impl Obs {
         }
     }
 
-    /// Snapshot of all events, sorted by time (stable for ties; NaN
-    /// timestamps sort last via `total_cmp` instead of panicking).
+    /// Snapshot of all events, sorted by time (stable for ties). A NaN
+    /// timestamp, however a component manages to produce one, sorts
+    /// last whatever its sign bit instead of panicking: `total_cmp`
+    /// alone would put a negative NaN — what `0.0 / 0.0` yields on
+    /// x86 — first.
     pub fn events(&self) -> Vec<ObsEvent> {
         let mut v = lock(&self.inner.events).clone();
-        v.sort_by(|a, b| a.t.total_cmp(&b.t));
+        v.sort_by(|a, b| a.t.is_nan().cmp(&b.t.is_nan()).then(a.t.total_cmp(&b.t)));
         v
+    }
+
+    /// Render the event log as a control-flow transcript, one
+    /// `[time] who what` line per event in [`Obs::events`] order.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for e in self.events() {
+            out.push_str(&format!("[{:>10.6}s] {:<24} {}\n", e.t, e.kind.who(), e.kind));
+        }
+        out
     }
 
     /// Drop all recorded events (spans and metrics are unaffected).
@@ -220,6 +230,47 @@ mod tests {
         assert_eq!(ev[0].t, 1.0, "events sort by time");
         obs.clear_events();
         assert!(obs.events().is_empty());
+    }
+
+    #[test]
+    fn render_prints_time_who_and_typed_event_text() {
+        let obs = Obs::new();
+        obs.set_enabled(true);
+        obs.emit(
+            0.25,
+            EventKind::CallIssued {
+                line: 1,
+                proc: "DOUBLE".into(),
+                addr: "lerc-cray-ymp:proc-3".into(),
+            },
+        );
+        obs.emit(1.5, EventKind::Note { who: "manager".into(), what: "free-form".into() });
+        assert_eq!(
+            obs.render(),
+            "[  0.250000s] line-1                   call DOUBLE -> lerc-cray-ymp:proc-3\n\
+             [  1.500000s] manager                  free-form\n"
+        );
+    }
+
+    #[test]
+    fn nan_timestamps_sort_last_whatever_their_sign() {
+        let obs = Obs::new();
+        obs.set_enabled(true);
+        // An arithmetic NaN computed at run time: negative on x86.
+        let zero = std::hint::black_box(0.0_f64);
+        let runtime_nan = zero / zero;
+        assert!(runtime_nan.is_nan());
+        obs.emit(runtime_nan, EventKind::Note { who: "broken".into(), what: "0/0 stamp".into() });
+        obs.emit(-f64::NAN, EventKind::Note { who: "broken".into(), what: "negative".into() });
+        obs.emit(2.0, EventKind::Note { who: "b".into(), what: "second".into() });
+        obs.emit(f64::NAN, EventKind::Note { who: "broken".into(), what: "positive".into() });
+        obs.emit(1.0, EventKind::Note { who: "a".into(), what: "first".into() });
+        let ev = obs.events();
+        assert_eq!(ev.len(), 5);
+        assert_eq!((ev[0].t, ev[1].t), (1.0, 2.0), "finite times sort before any NaN");
+        assert!(ev[2..].iter().all(|e| e.t.is_nan()));
+        // render() goes through the same sort.
+        assert!(obs.render().starts_with("[  1.000000s] a "), "{}", obs.render());
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::server::{spawn_server, Server};
 use crate::supervise::{
     CheckpointStore, Snapshot, SupervisionMap, SupervisionPolicy, DEFAULT_CHECKPOINT_RETENTION,
 };
-use crate::trace::Trace;
 use ledger::{Journal, LedgerHandle};
 
 /// Address of the Manager process for the program rooted at `host`.
@@ -181,9 +180,6 @@ pub struct RuntimeCtx {
     /// The typed observability sink: events, call spans, and the metrics
     /// registry (shared with [`RuntimeCtx::net`]'s).
     pub obs: Obs,
-    /// Event trace sink — the legacy facade over [`RuntimeCtx::obs`];
-    /// both views share storage.
-    pub trace: Trace,
     /// Per-executable supervision policies, consulted by the Manager
     /// when a supervised process dies.
     pub supervision: SupervisionMap,
@@ -263,8 +259,7 @@ impl Schooner {
         let net = Network::new(topology);
         net.set_link_config(config.link_batching);
         // The world's sink adopts the network's registry so transport
-        // counters and RPC metrics land in one snapshot; the legacy
-        // trace is a facade over the same event storage.
+        // counters and RPC metrics land in one snapshot.
         let obs = Obs::with_metrics(net.metrics().clone());
         let checkpoints = CheckpointStore::with_retention(config.checkpoint_retention);
         let ctx = RuntimeCtx {
@@ -272,7 +267,6 @@ impl Schooner {
             park,
             files: FileStore::new(),
             registry: ProgramRegistry::new(),
-            trace: Trace::from_obs(obs.clone()),
             obs,
             supervision: SupervisionMap::new(),
             config: Arc::new(config),

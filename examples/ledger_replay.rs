@@ -27,11 +27,9 @@
 
 use npss_sim::ledger::Repository;
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::Exec;
-use npss_sim::npss::{procs, ExecutiveEngine, RemoteExec};
-use npss_sim::schooner::{CallPolicy, Schooner};
-use npss_sim::tess::engine::Turbofan;
-use npss_sim::tess::schedules::Schedule;
+use npss_sim::npss::service::{table2_engine, table2_fuel, table2_world, vnow};
+use npss_sim::npss::{ExecutiveEngine, Scheduling};
+use npss_sim::schooner::{CallPolicy, Schooner, SchoonerConfig};
 use npss_sim::tess::transient::{TransientMethod, TransientResult, TransientSample};
 use std::path::PathBuf;
 
@@ -57,8 +55,8 @@ fn journal_path() -> PathBuf {
 
 /// The uninterrupted run: the transcript every other mode is held to.
 fn reference() -> Result<(), Box<dyn std::error::Error>> {
-    let sch = world()?;
-    let mut engine = table2_engine(&sch)?;
+    let sch = table2_world(SchoonerConfig::default())?;
+    let mut engine = recovery_engine(&sch)?;
     let result = run(&mut engine)?;
     print_transcript(&result.samples);
     engine.shutdown();
@@ -72,9 +70,9 @@ fn reference() -> Result<(), Box<dyn std::error::Error>> {
 fn crash() -> Result<(), Box<dyn std::error::Error>> {
     let t_crash = measure_crash_time()?;
     let path = journal_path();
-    let sch = world()?;
+    let sch = table2_world(SchoonerConfig::default())?;
     sch.attach_journal(&path)?;
-    let mut engine = table2_engine(&sch)?;
+    let mut engine = recovery_engine(&sch)?;
     engine.max_recoveries = 0; // first failed step is fatal, like a kill -9
     sch.ctx().net.set_fault_plan(Some(FaultPlan::new(0xF100).host_crash("lerc-cray-ymp", t_crash)));
     eprintln!("crash scheduled: lerc-cray-ymp down for good at t = {t_crash:.2} virtual s");
@@ -105,7 +103,7 @@ fn recover() -> Result<(), Box<dyn std::error::Error>> {
     // is re-attached (sequence numbers continue), the checkpoint store
     // and incarnation floor are seeded from the replayed records, and
     // the engine resumes at the latest barrier.
-    let sch = world()?;
+    let sch = table2_world(SchoonerConfig::default())?;
     let replay = sch.resume_journal(&path)?;
     sch.seed_recovery(&repo);
     eprintln!(
@@ -113,8 +111,8 @@ fn recover() -> Result<(), Box<dyn std::error::Error>> {
         repo.retained_checkpoints().len(),
         replay.records.last().map(|r| r.seq).unwrap_or(0)
     );
-    let mut engine = table2_engine(&sch)?;
-    let fuel = fuel_schedule(&engine)?;
+    let mut engine = recovery_engine(&sch)?;
+    let fuel = table2_fuel(&engine.engine, T_END)?;
     let result =
         engine.recover_from_journal(&repo, &fuel, TransientMethod::ImprovedEuler, DT, T_END)?;
     print_transcript(&result.samples);
@@ -142,11 +140,11 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
     let path = journal_path();
 
     // Reference — also measures the virtual window the crash lands in.
-    let sch = world()?;
-    let mut engine = table2_engine(&sch)?;
-    let t_start = vnow(&mut engine);
+    let sch = table2_world(SchoonerConfig::default())?;
+    let mut engine = recovery_engine(&sch)?;
+    let t_start = vnow(&mut engine)?;
     let reference = run(&mut engine)?;
-    let t_stop = vnow(&mut engine);
+    let t_stop = vnow(&mut engine)?;
     engine.shutdown();
     sch.shutdown();
     eprintln!("reference run: {} samples", reference.samples.len());
@@ -154,9 +152,9 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
     // Doomed run: Cray down for good a little past mid-run; the world is
     // dropped without shutdown, as a crashed process would leave it.
     let t_crash = t_start + 0.55 * (t_stop - t_start);
-    let sch = world()?;
+    let sch = table2_world(SchoonerConfig::default())?;
     sch.attach_journal(&path)?;
-    let mut engine = table2_engine(&sch)?;
+    let mut engine = recovery_engine(&sch)?;
     engine.max_recoveries = 0;
     sch.ctx().net.set_fault_plan(Some(FaultPlan::new(0xF100).host_crash("lerc-cray-ymp", t_crash)));
     let err = run(&mut engine).expect_err("the crash must abort the transient");
@@ -170,11 +168,11 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
         repo.last_seq(),
         repo.torn_bytes()
     );
-    let sch = world()?;
+    let sch = table2_world(SchoonerConfig::default())?;
     sch.resume_journal(&path)?;
     sch.seed_recovery(&repo);
-    let mut engine = table2_engine(&sch)?;
-    let fuel = fuel_schedule(&engine)?;
+    let mut engine = recovery_engine(&sch)?;
+    let fuel = table2_fuel(&engine.engine, T_END)?;
     let recovered =
         engine.recover_from_journal(&repo, &fuel, TransientMethod::ImprovedEuler, DT, T_END)?;
     eprintln!("recovered run: {} samples", recovered.samples.len());
@@ -233,69 +231,25 @@ fn print_transcript(samples: &[TransientSample]) {
 /// is fully deterministic, so `crash` and `recover` agree across
 /// processes.
 fn measure_crash_time() -> Result<f64, Box<dyn std::error::Error>> {
-    let sch = world()?;
-    let mut engine = table2_engine(&sch)?;
-    let t_start = vnow(&mut engine);
+    let sch = table2_world(SchoonerConfig::default())?;
+    let mut engine = recovery_engine(&sch)?;
+    let t_start = vnow(&mut engine)?;
     run(&mut engine)?;
-    let t_stop = vnow(&mut engine);
+    let t_stop = vnow(&mut engine)?;
     engine.shutdown();
     sch.shutdown();
     Ok(t_start + 0.55 * (t_stop - t_start))
 }
 
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").expect("known slot") {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
-}
-
-fn world() -> Result<Schooner, Box<dyn std::error::Error>> {
-    let sch = Schooner::standard().map_err(|e| e.to_string())?;
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).map_err(|e| e.to_string())?;
-    }
-    Ok(sch)
-}
-
 /// The Table-2 placement with checkpoint barriers every five solver steps.
-fn table2_engine(sch: &Schooner) -> Result<ExecutiveEngine, Box<dyn std::error::Error>> {
+fn recovery_engine(sch: &Schooner) -> Result<ExecutiveEngine, String> {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100()?)?;
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").map_err(|e| e.to_string())?;
-        let remote = RemoteExec::start(line, path, machine)?.with_policy(policy.clone());
-        exec.set_remote(slot, remote)?;
-    }
-    exec.checkpoint_interval = 5;
+    let mut exec = table2_engine(sch, &policy, 5, Scheduling::Sequential)?;
     exec.max_recoveries = 20;
     Ok(exec)
 }
 
-fn fuel_schedule(exec: &ExecutiveEngine) -> Result<Schedule, Box<dyn std::error::Error>> {
-    let wf_ref = exec.engine.design.wf;
-    Ok(Schedule::new(vec![
-        (0.0, 0.92 * wf_ref),
-        (0.1 * T_END, 0.92 * wf_ref),
-        (0.4 * T_END, wf_ref),
-    ])?)
-}
-
-fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, Box<dyn std::error::Error>> {
-    let fuel = fuel_schedule(exec)?;
-    Ok(exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)?)
+fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, String> {
+    let fuel = table2_fuel(&exec.engine, T_END)?;
+    exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)
 }

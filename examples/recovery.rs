@@ -18,11 +18,9 @@
 
 use npss_sim::ledger::{RecordKind, Repository};
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::Exec;
-use npss_sim::npss::{procs, ExecutiveEngine, RemoteExec};
-use npss_sim::schooner::{CallPolicy, Schooner};
-use npss_sim::tess::engine::Turbofan;
-use npss_sim::tess::schedules::Schedule;
+use npss_sim::npss::service::{table2_engine, table2_fuel, table2_world, vnow};
+use npss_sim::npss::{ExecutiveEngine, Scheduling};
+use npss_sim::schooner::{CallPolicy, Schooner, SchoonerConfig};
 use npss_sim::tess::transient::{TransientMethod, TransientResult};
 
 const T_END: f64 = 1.0;
@@ -32,11 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== checkpoint/restart of the Table-2 transient ==\n");
 
     // Reference: the same placement, never interrupted.
-    let sch = world()?;
-    let mut engine = table2_engine(&sch)?;
-    let t_start = vnow(&mut engine);
+    let sch = table2_world(SchoonerConfig::default())?;
+    let mut engine = recovery_engine(&sch)?;
+    let t_start = vnow(&mut engine)?;
     let reference = run(&mut engine)?;
-    let t_stop = vnow(&mut engine);
+    let t_stop = vnow(&mut engine)?;
     engine.shutdown();
     sch.shutdown();
     println!(
@@ -51,13 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 0.35 virtual seconds later. The two-attempt call policy cannot
     // ride that out, so the transient must fall back to its barriers.
     let t_crash = t_start + 0.55 * (t_stop - t_start);
-    let sch = world()?;
-    sch.ctx().trace.set_enabled(true);
+    let sch = table2_world(SchoonerConfig::default())?;
+    sch.ctx().obs.set_enabled(true);
     // Every event, checkpoint write, and supervision verdict of the
     // faulted run lands in a durable journal as well.
     let journal_path = std::env::temp_dir().join("npss-recovery.journal");
     sch.attach_journal(&journal_path)?;
-    let mut engine = table2_engine(&sch)?;
+    let mut engine = recovery_engine(&sch)?;
     sch.ctx().net.set_fault_plan(Some(
         FaultPlan::new(0xF100)
             .host_crash("lerc-cray-ymp", t_crash)
@@ -77,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("supervision trace:");
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     for line in rendered.lines().filter(|l| {
         ["resuming from checkpoint", "declared", "respawned", "heartbeat", "escalating"]
             .iter()
@@ -141,56 +139,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn world() -> Result<Schooner, Box<dyn std::error::Error>> {
-    let sch = Schooner::standard().map_err(|e| e.to_string())?;
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).map_err(|e| e.to_string())?;
-    }
-    Ok(sch)
-}
-
 /// The Table-2 placement with checkpoint barriers every five solver
 /// steps and a deliberately short-fused call policy.
-fn table2_engine(sch: &Schooner) -> Result<ExecutiveEngine, Box<dyn std::error::Error>> {
+fn recovery_engine(sch: &Schooner) -> Result<ExecutiveEngine, String> {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100()?)?;
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").map_err(|e| e.to_string())?;
-        let remote = RemoteExec::start(line, path, machine)?.with_policy(policy.clone());
-        exec.set_remote(slot, remote)?;
-    }
-    exec.checkpoint_interval = 5;
+    let mut exec = table2_engine(sch, &policy, 5, Scheduling::Sequential)?;
     exec.max_recoveries = 20;
     Ok(exec)
 }
 
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").expect("known slot") {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
-}
-
-fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, Box<dyn std::error::Error>> {
-    let wf_ref = exec.engine.design.wf;
-    let fuel = Schedule::new(vec![
-        (0.0, 0.92 * wf_ref),
-        (0.1 * T_END, 0.92 * wf_ref),
-        (0.4 * T_END, wf_ref),
-    ])?;
-    Ok(exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)?)
+fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, String> {
+    let fuel = table2_fuel(&exec.engine, T_END)?;
+    exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)
 }

@@ -9,66 +9,24 @@
 
 use npss_sim::ledger::{RecordKind, RecordTag, Repository};
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::Exec;
-use npss_sim::npss::{procs, ExecutiveEngine, RemoteExec};
-use npss_sim::schooner::{CallPolicy, Schooner};
-use npss_sim::tess::engine::Turbofan;
-use npss_sim::tess::schedules::Schedule;
+use npss_sim::npss::service::{table2_engine, table2_fuel, table2_world, vnow};
+use npss_sim::npss::{ExecutiveEngine, Scheduling};
+use npss_sim::schooner::{CallPolicy, Schooner, SchoonerConfig};
 use npss_sim::tess::transient::{TransientMethod, TransientResult};
 
 const T_END: f64 = 0.3;
 const DT: f64 = 0.02;
 
-fn world() -> Schooner {
-    let sch = Schooner::standard().unwrap();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &refs).unwrap();
-    }
-    sch
-}
-
-fn table2_engine(sch: &Schooner) -> ExecutiveEngine {
+/// The Table-2 placement with checkpoint barriers every three solver
+/// steps and a short-fused call policy.
+fn journaled_engine(sch: &Schooner) -> ExecutiveEngine {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        let remote = RemoteExec::start(line, path, machine).unwrap().with_policy(policy.clone());
-        exec.set_remote(slot, remote).unwrap();
-    }
-    exec.checkpoint_interval = 3;
-    exec
-}
-
-fn fuel(exec: &ExecutiveEngine) -> Schedule {
-    let wf_ref = exec.engine.design.wf;
-    Schedule::new(vec![(0.0, 0.92 * wf_ref), (0.1 * T_END, 0.92 * wf_ref), (0.4 * T_END, wf_ref)])
-        .unwrap()
+    table2_engine(sch, &policy, 3, Scheduling::Sequential).unwrap()
 }
 
 fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, String> {
-    let schedule = fuel(exec);
+    let schedule = table2_fuel(&exec.engine, T_END)?;
     exec.run_transient(&schedule, TransientMethod::ImprovedEuler, DT, T_END)
-}
-
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").unwrap() {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
 }
 
 #[test]
@@ -76,20 +34,20 @@ fn interrupted_table2_recovers_bit_identical_from_journal() {
     let path = std::env::temp_dir().join(format!("npss-ledger-recovery-{}", std::process::id()));
 
     // Uninterrupted reference (also measures the virtual window).
-    let sch = world();
-    let mut engine = table2_engine(&sch);
-    let t_start = vnow(&mut engine);
+    let sch = table2_world(SchoonerConfig::default()).unwrap();
+    let mut engine = journaled_engine(&sch);
+    let t_start = vnow(&mut engine).unwrap();
     let reference = run(&mut engine).unwrap();
-    let t_stop = vnow(&mut engine);
+    let t_stop = vnow(&mut engine).unwrap();
     engine.shutdown();
     sch.shutdown();
 
     // Doomed run: journal attached, the Cray goes down for good past
     // mid-run, the first failed step is fatal, and the world is
     // abandoned with no teardown — as a killed process leaves it.
-    let sch = world();
+    let sch = table2_world(SchoonerConfig::default()).unwrap();
     sch.attach_journal(&path).unwrap();
-    let mut engine = table2_engine(&sch);
+    let mut engine = journaled_engine(&sch);
     engine.max_recoveries = 0;
     let t_crash = t_start + 0.55 * (t_stop - t_start);
     sch.ctx().net.set_fault_plan(Some(FaultPlan::new(0xF100).host_crash("lerc-cray-ymp", t_crash)));
@@ -104,12 +62,12 @@ fn interrupted_table2_recovers_bit_identical_from_journal() {
     assert!(counts.get(&RecordTag::MetricsSnapshot).copied().unwrap_or(0) >= 2, "{counts:?}");
     assert!(counts.get(&RecordTag::Event).copied().unwrap_or(0) > 100, "{counts:?}");
 
-    let sch2 = world();
+    let sch2 = table2_world(SchoonerConfig::default()).unwrap();
     let replay = sch2.resume_journal(&path).unwrap();
     assert_eq!(replay.records.len(), repo.len(), "resume replays the same history");
     sch2.seed_recovery(&repo);
-    let mut engine2 = table2_engine(&sch2);
-    let schedule = fuel(&engine2);
+    let mut engine2 = journaled_engine(&sch2);
+    let schedule = table2_fuel(&engine2.engine, T_END).unwrap();
     let recovered = engine2
         .recover_from_journal(&repo, &schedule, TransientMethod::ImprovedEuler, DT, T_END)
         .unwrap();
