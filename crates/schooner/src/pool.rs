@@ -25,14 +25,18 @@
 //! lives in the pool's own [`MetricsRegistry`], never in a session
 //! world's, so world snapshots stay byte-comparable across runs.
 //!
-//! For the benchmark's scaling rows the same admission semantics are
-//! replayed in **virtual time** by [`simulate_service`]: a deterministic
-//! service model (earliest-free-worker FIFO, token buckets refilled at
-//! virtual arrival instants, bounded queue) that yields sessions/sec and
-//! latency percentiles with no wall-clock noise — the same analytical
+//! **One front door.** Both the live pool and the benchmark's
+//! **virtual-time** service model, [`simulate_service`], admit through
+//! the same private `Admission` state machine: per-tenant buckets, the
+//! queue bound, config validation and the one `QueueFull` retry law. It
+//! is clock-agnostic — the live pool passes wall seconds, the model
+//! virtual arrival instants — so the model (earliest-free-worker FIFO)
+//! runs the admission code the live pool runs and yields sessions/sec
+//! and latency percentiles with no wall-clock noise, the same analytical
 //! convention the transport ablation uses for link occupancy.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -82,7 +86,7 @@ impl TokenBucket {
     }
 }
 
-/// Why a session was refused at the front door. Both variants carry a
+/// Why a session was refused at the front door. Every variant carries a
 /// retry-after hint so a polite client can back off instead of spinning.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Rejected {
@@ -99,17 +103,33 @@ pub enum Rejected {
         depth: usize,
         /// The configured queue bound.
         capacity: usize,
-        /// Estimated seconds until a queue slot frees.
+        /// Estimated seconds until the sessions already queued have
+        /// drained: the mean service time of completed sessions (0.05 s
+        /// before any has completed) × max(`depth` / workers, 1).
         retry_after_s: f64,
     },
+    /// The pool has been shut down and will never admit again.
+    ShutDown,
 }
 
 impl Rejected {
-    /// The retry-after hint, whichever variant.
+    /// The retry-after hint, whichever variant (infinite for
+    /// [`Rejected::ShutDown`]).
     pub fn retry_after_s(&self) -> f64 {
         match self {
-            Rejected::RateLimited { retry_after_s, .. } => *retry_after_s,
-            Rejected::QueueFull { retry_after_s, .. } => *retry_after_s,
+            Self::RateLimited { retry_after_s, .. } | Self::QueueFull { retry_after_s, .. } => {
+                *retry_after_s
+            }
+            Self::ShutDown => f64::INFINITY,
+        }
+    }
+
+    /// The `pool.rejected.*` counter this refusal increments.
+    fn counter(&self) -> &'static str {
+        match self {
+            Self::RateLimited { .. } => "pool.rejected.rate_limited",
+            Self::QueueFull { .. } => "pool.rejected.queue_full",
+            Self::ShutDown => "pool.rejected.shut_down",
         }
     }
 }
@@ -117,32 +137,34 @@ impl Rejected {
 impl std::fmt::Display for Rejected {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Rejected::RateLimited { tenant, retry_after_s } => {
+            Self::RateLimited { tenant, retry_after_s } => {
                 write!(f, "tenant '{tenant}' rate limited; retry after {retry_after_s:.3} s")
             }
-            Rejected::QueueFull { depth, capacity, retry_after_s } => {
+            Self::QueueFull { depth, capacity, retry_after_s } => {
                 write!(
                     f,
                     "admission queue full ({depth}/{capacity}); retry after {retry_after_s:.3} s"
                 )
             }
+            Self::ShutDown => write!(f, "session pool is shut down; it admits nothing more"),
         }
     }
 }
 
-/// Sizing and admission-control knobs for a [`SessionPool`] (and for the
-/// [`simulate_service`] model, which replays the same semantics in
-/// virtual time).
+/// Sizing and admission-control knobs for a [`SessionPool`] and for the
+/// [`simulate_service`] model, which admits through the same code in
+/// virtual time. Both refuse a config that breaks a rule below.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Worker threads (each runs one session at a time).
+    /// Worker threads (each runs one session at a time); at least 1.
     pub workers: usize,
-    /// Bound on sessions admitted but not yet started.
+    /// Bound on sessions admitted but not yet started; at least 1.
     pub queue_capacity: usize,
-    /// Per-tenant token refill rate (sessions/second);
+    /// Per-tenant token refill rate (sessions/second), `>= 0`;
     /// `f64::INFINITY` disables rate limiting.
     pub tenant_rate: f64,
-    /// Per-tenant burst capacity (bucket size).
+    /// Per-tenant burst capacity (bucket size); at least 1, or no
+    /// offer could ever take a whole token.
     pub tenant_burst: f64,
 }
 
@@ -156,6 +178,71 @@ impl Default for PoolConfig {
 /// retry-after hint before any session has completed.
 const DEFAULT_SERVICE_ESTIMATE_S: f64 = 0.05;
 
+/// The front door of both pools: per-tenant token buckets, the queue
+/// bound, and the one retry law (documented on [`Rejected::QueueFull`]).
+/// Clock-agnostic — the caller passes `now_s` and the number of sessions
+/// admitted but not yet started, and reports every finished session's
+/// service time to [`Admission::served`].
+#[derive(Debug)]
+struct Admission {
+    config: PoolConfig,
+    buckets: BTreeMap<String, TokenBucket>,
+    served_n: u64,
+    served_sum_s: f64,
+}
+
+impl Admission {
+    /// Validate `config` (the rules on [`PoolConfig`]'s fields) and open
+    /// the door.
+    fn new(config: PoolConfig) -> Result<Self, String> {
+        if config.workers == 0 {
+            return Err("session pool needs at least one worker".into());
+        }
+        if config.queue_capacity == 0 {
+            return Err("session pool needs a queue capacity of at least 1".into());
+        }
+        if config.tenant_rate.is_nan() || config.tenant_rate < 0.0 {
+            return Err(format!("tenant rate must be >= 0, got {}", config.tenant_rate));
+        }
+        if config.tenant_burst.is_nan() || config.tenant_burst < 1.0 {
+            return Err(format!(
+                "tenant burst must be >= 1 or no session is ever admitted, got {}",
+                config.tenant_burst
+            ));
+        }
+        Ok(Self { config, buckets: BTreeMap::new(), served_n: 0, served_sum_s: 0.0 })
+    }
+
+    /// Admit or refuse one session from `tenant` at `now_s`, with
+    /// `depth` sessions admitted but not yet started.
+    fn offer(&mut self, tenant: &str, now_s: f64, depth: usize) -> Result<(), Rejected> {
+        let PoolConfig { workers, queue_capacity, tenant_rate, tenant_burst } = self.config;
+        let bucket = self
+            .buckets
+            .entry(tenant.to_owned())
+            .or_insert_with(|| TokenBucket::new(tenant_rate, tenant_burst));
+        if let Err(retry_after_s) = bucket.try_take(now_s) {
+            return Err(Rejected::RateLimited { tenant: tenant.to_owned(), retry_after_s });
+        }
+        if depth >= queue_capacity {
+            let per_session = if self.served_n > 0 {
+                self.served_sum_s / self.served_n as f64
+            } else {
+                DEFAULT_SERVICE_ESTIMATE_S
+            };
+            let retry_after_s = per_session * (depth as f64 / workers as f64).max(1.0);
+            return Err(Rejected::QueueFull { depth, capacity: queue_capacity, retry_after_s });
+        }
+        Ok(())
+    }
+
+    /// Tally one finished session's service time for the retry law.
+    fn served(&mut self, service_s: f64) {
+        self.served_n += 1;
+        self.served_sum_s += service_s;
+    }
+}
+
 struct Job<R> {
     queued_at: Instant,
     run: Box<dyn FnOnce() -> R + Send>,
@@ -164,7 +251,7 @@ struct Job<R> {
 
 struct State<R> {
     queue: VecDeque<Job<R>>,
-    buckets: BTreeMap<String, TokenBucket>,
+    admission: Admission,
     shutdown: bool,
 }
 
@@ -175,8 +262,9 @@ struct Shared<R> {
 }
 
 /// Take the guard even when a session job panicked while a worker held
-/// the lock: queue state is a VecDeque plus token buckets, both of which
-/// are valid after any partial operation visible here.
+/// the lock: queue state is a VecDeque plus the admission buckets and
+/// tally, all of which are valid after any partial operation visible
+/// here.
 fn lock<R>(shared: &Shared<R>) -> std::sync::MutexGuard<'_, State<R>> {
     shared.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -185,7 +273,6 @@ fn lock<R>(shared: &Shared<R>) -> std::sync::MutexGuard<'_, State<R>> {
 /// workers. `R` is the session report type produced by submitted jobs.
 pub struct SessionPool<R: Send + 'static> {
     shared: Arc<Shared<R>>,
-    config: PoolConfig,
     started: Instant,
     workers: Vec<JoinHandle<()>>,
 }
@@ -208,22 +295,19 @@ impl<R> SessionTicket<R> {
 }
 
 impl<R: Send + 'static> SessionPool<R> {
-    /// Start the pool: spawn `config.workers` named worker threads.
+    /// Start the pool: spawn `config.workers` named worker threads. A
+    /// config that breaks a [`PoolConfig`] rule is refused with
+    /// [`SchError::Other`].
     pub fn start(config: PoolConfig) -> SchResult<Self> {
-        if config.workers == 0 {
-            return Err(SchError::Other("session pool needs at least one worker".into()));
-        }
+        let n = config.workers;
+        let admission = Admission::new(config).map_err(SchError::Other)?;
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                buckets: BTreeMap::new(),
-                shutdown: false,
-            }),
+            state: Mutex::new(State { queue: VecDeque::new(), admission, shutdown: false }),
             wake: Condvar::new(),
             metrics: MetricsRegistry::new(),
         });
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
+        let mut workers = Vec::with_capacity(n);
+        for i in 0..n {
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("pool-worker-{i}"))
@@ -231,7 +315,7 @@ impl<R: Send + 'static> SessionPool<R> {
                 .map_err(|e| SchError::Other(format!("spawn pool-worker-{i}: {e}")))?;
             workers.push(handle);
         }
-        Ok(Self { shared, config, started: Instant::now(), workers })
+        Ok(Self { shared, started: Instant::now(), workers })
     }
 
     /// Pool-level telemetry: `pool.admitted`, `pool.rejected.*`,
@@ -251,6 +335,8 @@ impl<R: Send + 'static> SessionPool<R> {
     /// Offer a session job for `tenant`. On admission the job is queued
     /// for the next free worker and a ticket for its report is returned;
     /// otherwise a typed [`Rejected`] explains why and when to retry.
+    /// After [`SessionPool::shutdown`] every offer is
+    /// [`Rejected::ShutDown`].
     pub fn submit<F>(&self, tenant: &str, job: F) -> Result<SessionTicket<R>, Rejected>
     where
         F: FnOnce() -> R + Send + 'static,
@@ -258,37 +344,22 @@ impl<R: Send + 'static> SessionPool<R> {
         let now = self.now_s();
         let m = &self.shared.metrics;
         let mut s = lock(&self.shared);
-        let bucket = s
-            .buckets
-            .entry(tenant.to_owned())
-            .or_insert_with(|| TokenBucket::new(self.config.tenant_rate, self.config.tenant_burst));
-        if let Err(retry_after_s) = bucket.try_take(now) {
-            drop(s);
-            m.counter_add("pool.rejected.rate_limited", 1);
-            return Err(Rejected::RateLimited { tenant: tenant.to_owned(), retry_after_s });
-        }
         let depth = s.queue.len();
-        if depth >= self.config.queue_capacity {
+        let verdict = if s.shutdown {
+            Err(Rejected::ShutDown)
+        } else {
+            s.admission.offer(tenant, now, depth)
+        };
+        if let Err(r) = verdict {
             drop(s);
-            m.counter_add("pool.rejected.queue_full", 1);
-            let per_session = m
-                .histogram("pool.session_s")
-                .filter(|h| h.count > 0)
-                .map(|h| h.mean())
-                .unwrap_or(DEFAULT_SERVICE_ESTIMATE_S);
-            let retry_after_s = per_session * (depth as f64 / self.config.workers as f64).max(1.0);
-            return Err(Rejected::QueueFull {
-                depth,
-                capacity: self.config.queue_capacity,
-                retry_after_s,
-            });
+            m.counter_add(r.counter(), 1);
+            return Err(r);
         }
         let (tx, rx) = mpsc::channel();
         s.queue.push_back(Job { queued_at: Instant::now(), run: Box::new(job), done: tx });
-        let depth = s.queue.len();
+        m.gauge_set("pool.queue_depth", s.queue.len() as i64);
         drop(s);
         m.counter_add("pool.admitted", 1);
-        m.gauge_set("pool.queue_depth", depth as i64);
         self.shared.wake.notify_one();
         Ok(SessionTicket { tenant: tenant.to_owned(), rx })
     }
@@ -334,7 +405,9 @@ fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
         shared.metrics.gauge_add("pool.busy_workers", 1);
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(job.run));
-        shared.metrics.observe("pool.session_s", started.elapsed().as_secs_f64());
+        let service_s = started.elapsed().as_secs_f64();
+        shared.metrics.observe("pool.session_s", service_s);
+        lock(shared).admission.served(service_s);
         shared.metrics.gauge_add("pool.busy_workers", -1);
         match &outcome {
             Ok(_) => shared.metrics.counter_add("pool.completed", 1),
@@ -388,7 +461,7 @@ pub struct ServiceOutcome {
     pub completed: Vec<VirtualSession>,
     /// Refused sessions: (arrival instant, typed rejection).
     pub rejected: Vec<(f64, Rejected)>,
-    /// Virtual time from the first arrival to the last finish.
+    /// Virtual time from t = 0 to the last finish.
     pub makespan_s: f64,
 }
 
@@ -416,33 +489,46 @@ impl ServiceOutcome {
 
     /// How many offers the limiter refused.
     pub fn rejected_rate_limited(&self) -> usize {
-        self.rejected.iter().filter(|(_, r)| matches!(r, Rejected::RateLimited { .. })).count()
+        self.rejected_by("pool.rejected.rate_limited")
     }
 
     /// How many offers the bounded queue refused.
     pub fn rejected_queue_full(&self) -> usize {
-        self.rejected.iter().filter(|(_, r)| matches!(r, Rejected::QueueFull { .. })).count()
+        self.rejected_by("pool.rejected.queue_full")
+    }
+
+    /// How many refusals the live pool would count under `counter`.
+    fn rejected_by(&self, counter: &str) -> usize {
+        self.rejected.iter().filter(|(_, r)| r.counter() == counter).count()
     }
 }
 
-/// Replay an offered plan through the pool's admission semantics in
+/// Replay an offered plan through the pool's own admission code in
 /// virtual time: per-tenant token buckets refilled at arrival instants,
 /// a bounded FIFO queue, and earliest-free-worker assignment. Pure
 /// arithmetic over the plan — two calls with the same config and plan
 /// produce identical outcomes, which is what lets the benchmark assert a
 /// scaling floor with no wall-clock noise.
+///
+/// # Panics
+///
+/// On a config that [`SessionPool::start`] would refuse, with the same
+/// message.
 pub fn simulate_service(config: &PoolConfig, offered: &[Offered]) -> ServiceOutcome {
-    assert!(config.workers >= 1, "service model needs at least one worker");
+    let mut admission = Admission::new(config.clone()).unwrap_or_else(|e| panic!("{e}"));
     let mut plan: Vec<&Offered> = offered.iter().collect();
     plan.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("arrivals are finite"));
 
     let mut free_at = vec![0.0_f64; config.workers];
-    let mut buckets: BTreeMap<&str, TokenBucket> = BTreeMap::new();
     // Start instants of admitted sessions, in non-decreasing order; the
     // prefix with `start <= now` has left the queue. (Starts are
     // non-decreasing because arrivals are sorted and the earliest worker
     // free time never moves backwards.)
     let mut pending_starts: VecDeque<f64> = VecDeque::new();
+    // (finish, service) bit patterns of admitted sessions not yet
+    // reported to `served`, earliest finish on top. Finish instants are
+    // never negative, so their bit patterns order like their values.
+    let mut running: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut out = ServiceOutcome::default();
 
     for session in plan {
@@ -450,23 +536,15 @@ pub fn simulate_service(config: &PoolConfig, offered: &[Offered]) -> ServiceOutc
         while pending_starts.front().is_some_and(|&s| s <= now) {
             pending_starts.pop_front();
         }
-        let bucket = buckets
-            .entry(session.tenant.as_str())
-            .or_insert_with(|| TokenBucket::new(config.tenant_rate, config.tenant_burst));
-        if let Err(retry_after_s) = bucket.try_take(now) {
-            out.rejected.push((
-                now,
-                Rejected::RateLimited { tenant: session.tenant.clone(), retry_after_s },
-            ));
-            continue;
+        while let Some(&Reverse((finish, service))) = running.peek() {
+            if f64::from_bits(finish) > now {
+                break;
+            }
+            running.pop();
+            admission.served(f64::from_bits(service));
         }
-        let depth = pending_starts.len();
-        if depth >= config.queue_capacity {
-            let retry_after_s = (pending_starts.front().copied().unwrap_or(now) - now).max(0.0);
-            out.rejected.push((
-                now,
-                Rejected::QueueFull { depth, capacity: config.queue_capacity, retry_after_s },
-            ));
+        if let Err(r) = admission.offer(&session.tenant, now, pending_starts.len()) {
+            out.rejected.push((now, r));
             continue;
         }
         let (worker, &free) = free_at
@@ -478,6 +556,7 @@ pub fn simulate_service(config: &PoolConfig, offered: &[Offered]) -> ServiceOutc
         let finish = start + session.service_s;
         free_at[worker] = finish;
         pending_starts.push_back(start);
+        running.push(Reverse((finish.to_bits(), session.service_s.to_bits())));
         out.completed.push(VirtualSession {
             tenant: session.tenant.clone(),
             arrival_s: now,
@@ -605,6 +684,7 @@ mod tests {
         assert_eq!(m.counter("pool.completed"), 2000);
         assert_eq!(m.counter("pool.rejected.rate_limited"), 0);
         assert_eq!(m.gauge("pool.busy_workers"), 0);
+        assert_eq!(m.gauge("pool.queue_depth"), 0);
         pool.shutdown();
         assert!(m.histogram("pool.session_s").unwrap().count == 2000);
     }
@@ -674,6 +754,134 @@ mod tests {
         after.wait().unwrap();
         assert_eq!(pool.metrics().counter("pool.session_panics"), 1);
         pool.shutdown();
+    }
+
+    /// One seeded offer trace through the live pool, its workers parked
+    /// on a gate, and through the model, its sessions too long to finish.
+    /// With `tenant_rate: 0` no verdict depends on the clock, so both
+    /// must give the same verdicts with bit-identical retry hints.
+    #[test]
+    fn live_pool_and_service_model_give_identical_verdicts() {
+        let cfg = PoolConfig { workers: 2, queue_capacity: 3, tenant_rate: 0.0, tenant_burst: 3.0 };
+        let mut rng = testkit::SplitMix64::new(0xAD31_5510);
+        let tenants: Vec<String> = (0..24).map(|_| format!("tenant-{}", rng.below(4))).collect();
+
+        let plan: Vec<Offered> = tenants
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Offered { arrival_s: i as f64, tenant: t.clone(), service_s: 1e9 })
+            .collect();
+        let out = simulate_service(&cfg, &plan);
+        let mut model: Vec<Result<(), Rejected>> = vec![Ok(()); plan.len()];
+        for (at, r) in out.rejected {
+            model[at as usize] = Err(r);
+        }
+
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (picked_tx, picked_rx) = mpsc::channel();
+        let mut pool: SessionPool<()> = SessionPool::start(cfg.clone()).unwrap();
+        let mut tickets = Vec::new();
+        let mut live = Vec::new();
+        for tenant in &tenants {
+            let (g, picked) = (Arc::clone(&gate), picked_tx.clone());
+            let verdict = pool.submit(tenant, move || {
+                picked.send(()).unwrap();
+                let (l, c) = &*g;
+                let mut open = l.lock().unwrap();
+                while !*open {
+                    open = c.wait(open).unwrap();
+                }
+            });
+            // As in the model, where they start on arrival, the first
+            // `workers` admissions leave the queue before the next offer.
+            if verdict.is_ok() && tickets.len() < cfg.workers {
+                picked_rx.recv().unwrap();
+            }
+            live.push(verdict.map(|t| tickets.push(t)));
+        }
+        {
+            let (l, c) = &*gate;
+            *l.lock().unwrap() = true;
+            c.notify_all();
+        }
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        pool.shutdown();
+
+        for (i, (l, m)) in live.iter().zip(&model).enumerate() {
+            assert_eq!(l, m, "offer {i} from {}", tenants[i]);
+            if let (Err(l), Err(m)) = (l, m) {
+                assert_eq!(l.retry_after_s().to_bits(), m.retry_after_s().to_bits(), "offer {i}");
+            }
+        }
+        let kinds: Vec<&str> =
+            model.iter().map(|v| v.as_ref().map_or_else(Rejected::counter, |_| "admit")).collect();
+        for kind in ["admit", "pool.rejected.rate_limited", "pool.rejected.queue_full"] {
+            assert!(kinds.contains(&kind), "trace never produced {kind}: {kinds:?}");
+        }
+    }
+
+    #[test]
+    fn submit_after_shutdown_is_refused() {
+        let mut pool: SessionPool<u8> = SessionPool::start(PoolConfig::default()).unwrap();
+        pool.shutdown();
+        match pool.submit("t", || 1) {
+            Err(r) => {
+                assert_eq!(r, Rejected::ShutDown);
+                assert_eq!(r.retry_after_s(), f64::INFINITY);
+            }
+            Ok(_) => panic!("a shut-down pool admitted a session no worker will run"),
+        }
+        assert_eq!(pool.metrics().counter("pool.rejected.shut_down"), 1);
+    }
+
+    /// Both pools refuse `cfg` with the same message, which is returned.
+    fn refused(cfg: PoolConfig) -> String {
+        let live = match SessionPool::<()>::start(cfg.clone()) {
+            Err(SchError::Other(msg)) => msg,
+            Err(e) => panic!("expected SchError::Other, got {e}"),
+            Ok(_) => panic!("{cfg:?} was accepted"),
+        };
+        let model = catch_unwind(|| simulate_service(&cfg, &[])).expect_err("model accepted");
+        assert_eq!(Some(&live), model.downcast_ref::<String>());
+        live
+    }
+
+    fn accepted(cfg: PoolConfig) {
+        SessionPool::<()>::start(cfg.clone()).unwrap();
+        simulate_service(&cfg, &[]);
+    }
+
+    #[test]
+    fn burst_below_one_is_refused() {
+        let msg = refused(PoolConfig { tenant_burst: 0.5, ..PoolConfig::default() });
+        assert!(msg.contains("tenant burst must be >= 1"), "{msg}");
+        refused(PoolConfig { tenant_burst: f64::NAN, ..PoolConfig::default() });
+        accepted(PoolConfig { tenant_burst: 1.0, ..PoolConfig::default() });
+    }
+
+    #[test]
+    fn zero_workers_are_refused() {
+        let msg = refused(PoolConfig { workers: 0, ..PoolConfig::default() });
+        assert!(msg.contains("at least one worker"), "{msg}");
+    }
+
+    #[test]
+    fn zero_queue_capacity_is_refused() {
+        let msg = refused(PoolConfig { queue_capacity: 0, ..PoolConfig::default() });
+        assert!(msg.contains("queue capacity"), "{msg}");
+        accepted(PoolConfig { queue_capacity: 1, ..PoolConfig::default() });
+    }
+
+    #[test]
+    fn negative_or_nan_rate_is_refused() {
+        for rate in [-1.0, f64::NAN] {
+            let msg = refused(PoolConfig { tenant_rate: rate, ..PoolConfig::default() });
+            assert!(msg.contains("tenant rate must be >= 0"), "{msg}");
+        }
+        accepted(PoolConfig { tenant_rate: 0.0, ..PoolConfig::default() });
+        accepted(PoolConfig { tenant_rate: f64::INFINITY, ..PoolConfig::default() });
     }
 
     #[test]
